@@ -66,9 +66,10 @@ bench-parallel:
 bench:
 	$(GO) test -run '^$$' -bench . .
 
-# Served-prediction latency, cached vs uncached (see DESIGN.md §8).
+# Served-prediction latency, cached vs uncached (see DESIGN.md §8), and
+# the /v1/stream request path on 16-sample posts (see DESIGN.md §9).
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkServe(Predict|Stream)' -benchtime 50x ./internal/serve/
 
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus
@@ -114,8 +115,9 @@ bench-compare:
 	$(MAKE) --no-print-directory bench-json BENCH_JSON=$$tmp; \
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$tmp -threshold $(BENCH_THRESHOLD)
 
-# Brief runs of every fuzz target (NDJSON sample decoder, CSV dataset
-# parser, persisted-tree loader, machine-spec loader, binary model
+# Brief runs of every fuzz target (NDJSON sample decoder, its fast path
+# and the stream event encoder differentially against encoding/json, CSV
+# dataset parser, persisted-tree loader, machine-spec loader, binary model
 # loader, refutation-state loader) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
 # target has a checked-in seed corpus under its package's testdata/fuzz/.
@@ -126,6 +128,8 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSample' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecoderStream' -fuzztime $(FUZZTIME) ./internal/stream/
+	$(GO) test -run '^$$' -fuzz 'FuzzSampleDecodeDifferential' -fuzztime $(FUZZTIME) ./internal/stream/
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendEvent' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSV' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTreeReadJSON' -fuzztime $(FUZZTIME) ./internal/mtree/
 	$(GO) test -run '^$$' -fuzz 'FuzzMachineSpecReadJSON' -fuzztime $(FUZZTIME) ./internal/march/

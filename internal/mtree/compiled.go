@@ -681,7 +681,18 @@ func (c *CompiledTree) materialize(i int32) *Node {
 func (c *CompiledTree) Contributions(row dataset.Instance) []model.Contribution {
 	n := c.leafFor(row)
 	pred := c.lmPredict(n, row)
+	// Size the result exactly, in one allocation; a leaf without a
+	// nonzero coefficient still decomposes to nil, like the pointer walk.
+	terms := 0
+	for _, coef := range c.lmCoefs[c.lmOff[n]:c.lmOff[n+1]] {
+		if coef != 0 {
+			terms++
+		}
+	}
 	var out []model.Contribution
+	if terms > 0 {
+		out = make([]model.Contribution, 0, terms)
+	}
 	for j, end := c.lmOff[n], c.lmOff[n+1]; j < end; j++ {
 		coef := c.lmCoefs[j]
 		if coef == 0 {

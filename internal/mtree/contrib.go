@@ -1,7 +1,7 @@
 package mtree
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -41,10 +41,20 @@ func (t *Tree) Contributions(row dataset.Instance) []model.Contribution {
 
 // sortContributions orders shares largest-CPI-contribution first; the
 // stable sort keeps coefficient order for ties, so the pointer-walk and
-// compiled decompositions agree element for element.
+// compiled decompositions agree element for element. The comparator is
+// negative exactly when a.Cycles > b.Cycles, so incomparable values
+// (NaN) tie, and the generic stable sort — the same insertion-sort and
+// symMerge algorithm as sort.SliceStable, minus the reflection-based
+// swapper — yields the same order.
 func sortContributions(out []model.Contribution) {
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Cycles > out[j].Cycles
+	slices.SortStableFunc(out, func(a, b model.Contribution) int {
+		switch {
+		case a.Cycles > b.Cycles:
+			return -1
+		case b.Cycles > a.Cycles:
+			return 1
+		}
+		return 0
 	})
 }
 

@@ -8,9 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/ensemble"
 	"repro/internal/model"
 	"repro/internal/mtree"
+	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // BenchmarkServePredict measures the full request path — JSON decode,
@@ -212,6 +215,73 @@ func BenchmarkServeConcurrentStream(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeStream measures the /v1/stream request path in the
+// shape of the repository benchmark's stream workload: 16-sample posts
+// round-robin over 64 sessions, each sample carrying the full event
+// schema of a real (small) simulator collection plus its observed CPI.
+// With a couple of dozen events per sample, the NDJSON decode and the
+// event encode weigh against scoring as they do in production.
+func BenchmarkServeStream(b *testing.B) {
+	const postLines, sessions = 16, 64
+	col, err := counters.CollectSuite(workload.SuiteScaled(0.05), counters.DefaultCollectConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := col.Data
+	cfg := mtree.DefaultConfig()
+	cfg.MinLeaf = 20
+	tree, err := mtree.Build(d, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
+		b.Fatal(err)
+	}
+	scfg := DefaultConfig()
+	scfg.Jobs = 1
+	scfg.CacheSize = 0
+	h := New(reg, scfg).Handler()
+
+	var lines []string
+	attrs, target := d.Attrs(), d.TargetIndex()
+	for i := 0; i < d.Len(); i++ {
+		row := d.Row(i)
+		events := make(map[string]float64, len(row)-1)
+		for j, v := range row {
+			if j != target {
+				events[attrs[j].Name] = v
+			}
+		}
+		cpi := row[target]
+		line, err := json.Marshal(stream.Sample{
+			Bench: col.Labels[i].Benchmark, Section: col.Labels[i].Section, Events: events, CPI: &cpi})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines = append(lines, string(line)+"\n")
+	}
+	var posts []string
+	for i := 0; i+postLines <= len(lines); i += postLines {
+		posts = append(posts, strings.Join(lines[i:i+postLines], ""))
+	}
+	paths := make([]string, sessions)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/v1/stream?model=cpi&session=s%d", i)
+	}
+
+	b.ReportAllocs()
+	b.SetBytes(int64(len(posts[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := postNDJSON(h, paths[i%sessions], posts[i%len(posts)])
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportMetric(float64(b.N*postLines)/b.Elapsed().Seconds(), "samples/s")
 }
 
 // BenchmarkPredictionCache isolates the cache itself.

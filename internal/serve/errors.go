@@ -39,6 +39,11 @@ const (
 	// ErrCodeStreamAborted: in-band NDJSON error line on /v1/stream
 	// after the 200 header is already out.
 	ErrCodeStreamAborted = "stream_aborted"
+	// ErrCodeNonFinite: the model's answer holds a NaN or ±Inf, which
+	// JSON cannot carry — typically inputs far outside the training
+	// range. HTTP 422 on /v1/predict and /v1/classify; an in-band line
+	// on /v1/stream.
+	ErrCodeNonFinite = "non_finite_prediction"
 )
 
 // apiError is the envelope payload.

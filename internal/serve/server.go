@@ -254,10 +254,19 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	// Marshal before committing the status: a value JSON cannot carry
+	// (a NaN or ±Inf answer; the response types hold nothing else that
+	// can fail) must become an error response, not a 200 with an empty
+	// body.
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, ErrCodeNonFinite,
+			"response holds a value JSON cannot carry: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // predictRequest addresses a model and carries instances in one of three

@@ -156,10 +156,10 @@ func (s *Server) streamConfig() stream.Config {
 // streamErrorLine builds the in-band NDJSON error object emitted when
 // a stream fails after the 200 header is out; it carries the same
 // envelope as out-of-band errors so clients classify both the same way.
-func streamErrorLine(err error) map[string]any {
+func streamErrorLine(code string, err error) map[string]any {
 	return map[string]any{
 		"type":  "error",
-		"error": apiError{Code: ErrCodeStreamAborted, Message: err.Error()},
+		"error": apiError{Code: code, Message: err.Error()},
 	}
 }
 
@@ -272,24 +272,37 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	stats := sess.p.Stats()
 	sess.mu.Unlock()
 
+	// Render the event lines into one buffer (a line runs about 200
+	// bytes, so 256 apiece is one allocation) and write them at once. An
+	// event with a non-finite value (a model extrapolating to ±Inf)
+	// cannot be rendered; the lines before it are still delivered.
+	buf := make([]byte, 0, 256*len(events))
+	var encErr error
+	for i := range events {
+		if buf, encErr = stream.AppendEvent(buf, &events[i]); encErr != nil {
+			break
+		}
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return // client gone; stop writing, state is consistent
-		}
+	if _, err := w.Write(buf); err != nil {
+		return // client gone; stop writing, state is consistent
 	}
 	// Push completed events to the client now: this route is outside
 	// http.TimeoutHandler precisely so incremental delivery works.
-	if len(events) > 0 && flusher != nil {
+	if flusher, ok := w.(http.Flusher); ok && len(buf) > 0 {
 		flusher.Flush()
 	}
+	// Failures after the 200 header is out are reported on the stream.
+	// The monitors keep whatever they ingested either way.
+	enc := json.NewEncoder(w)
+	if encErr != nil {
+		s.metrics.endpoints["/v1/stream"].errors.Add(1)
+		_ = enc.Encode(streamErrorLine(ErrCodeNonFinite, encErr))
+		return
+	}
 	if ingestErr != nil {
-		// The monitors kept whatever prefix they ingested; report on the
-		// stream since the 200 header is already out.
-		_ = enc.Encode(streamErrorLine(ingestErr))
+		_ = enc.Encode(streamErrorLine(ErrCodeStreamAborted, ingestErr))
 		return
 	}
 	_ = enc.Encode(streamSummary{

@@ -339,3 +339,48 @@ func TestStreamSessionsIndependent(t *testing.T) {
 		t.Errorf("scored %d, want 80", snap.Streams.Scored)
 	}
 }
+
+// TestNonFiniteAnswersAreErrors pins the non-finite contract: inputs
+// that drive the model to ±Inf must yield the non_finite_prediction
+// envelope — a 422 on /v1/predict and /v1/classify, an in-band line
+// after the event lines on /v1/stream — and count as errors, never a
+// 200 with an empty or truncated body.
+func TestNonFiniteAnswersAreErrors(t *testing.T) {
+	s, _, _ := newTestServer(t, streamConfig(1))
+	h := s.Handler()
+	const huge = `{"L2M":1e308,"L1IM":1e308,"DtlbLdM":1e308}`
+
+	for _, route := range []string{"/v1/predict", "/v1/classify"} {
+		rec := post(h, route, `{"model":"cpi","events":[`+huge+`]}`)
+		var env errorEnvelope
+		if rec.Code != http.StatusUnprocessableEntity ||
+			json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != ErrCodeNonFinite {
+			t.Errorf("%s: status %d body %q, want 422 %s", route, rec.Code, rec.Body, ErrCodeNonFinite)
+		}
+	}
+
+	// One finite sample ahead of the bad one: its event line is still
+	// delivered, then the error line ends the response.
+	em := s.metrics.endpoints["/v1/stream"]
+	errsBefore := em.errors.Load()
+	body := `{"events":{"L2M":0.001,"L1IM":0.01},"cpi":1}` + "\n" + `{"events":` + huge + `,"cpi":1}` + "\n"
+	rec := postNDJSON(h, "/v1/stream?model=cpi", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream: status %d: %s", rec.Code, rec.Body)
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	var last struct {
+		Type  string   `json:"type"`
+		Error apiError `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil ||
+		last.Type != "error" || last.Error.Code != ErrCodeNonFinite || last.Error.Message == "" {
+		t.Fatalf("stream: last line %q, want an in-band %s error", lines[len(lines)-1], ErrCodeNonFinite)
+	}
+	if len(lines) < 2 || !strings.HasPrefix(lines[0], `{"type":"sample","section":0,`) {
+		t.Fatalf("stream: the finite sample's event line is missing: %q", rec.Body)
+	}
+	if got := em.errors.Load() - errsBefore; got != 1 {
+		t.Fatalf("stream: error counter moved by %d, want 1", got)
+	}
+}

@@ -64,9 +64,20 @@ func (s *Sample) Validate() error {
 
 // DecodeSample parses one NDJSON line into a validated Sample.
 func DecodeSample(line []byte) (Sample, error) {
-	var s Sample
-	if err := json.Unmarshal(line, &s); err != nil {
-		return Sample{}, fmt.Errorf("stream: malformed sample: %w", err)
+	return decodeLine(line, nil)
+}
+
+// decodeLine is DecodeSample with string interning: canonical lines
+// take the reflection-free fast path (codec.go), every other line
+// goes to encoding/json, so rejections and their messages are
+// encoding/json's own.
+func decodeLine(line []byte, names interner) (Sample, error) {
+	s, ok := decodeFast(line, names)
+	if !ok {
+		s = Sample{}
+		if err := json.Unmarshal(line, &s); err != nil {
+			return Sample{}, fmt.Errorf("stream: malformed sample: %w", err)
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return Sample{}, err
@@ -85,16 +96,18 @@ const MaxLineBytes = 1 << 20
 // are terminal: they stick, and every subsequent Next returns the same
 // error, reported by Failed.
 type Decoder struct {
-	sc   *bufio.Scanner
-	line int
-	err  error // sticky: io.EOF or a terminal read failure
+	sc    *bufio.Scanner
+	line  int
+	err   error    // sticky: io.EOF or a terminal read failure
+	names interner // event names and bench labels, shared by its samples
 }
 
-// NewDecoder wraps r in an NDJSON sample decoder.
+// NewDecoder wraps r in an NDJSON sample decoder. The line buffer
+// starts small and grows on demand up to MaxLineBytes.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	return &Decoder{sc: sc}
+	sc.Buffer(nil, MaxLineBytes)
+	return &Decoder{sc: sc, names: interner{}}
 }
 
 // Line returns the 1-based number of the last line handed out.
@@ -115,7 +128,7 @@ func (d *Decoder) Next() (Sample, error) {
 		if len(trimSpace(b)) == 0 {
 			continue
 		}
-		s, err := DecodeSample(b)
+		s, err := decodeLine(b, d.names)
 		if err != nil {
 			return Sample{}, fmt.Errorf("line %d: %w", d.line, err)
 		}
