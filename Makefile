@@ -130,6 +130,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecoderStream' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz 'FuzzSampleDecodeDifferential' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendEvent' -fuzztime $(FUZZTIME) ./internal/stream/
+	$(GO) test -run '^$$' -fuzz 'FuzzPredictDecodeDifferential' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendPredictResponse' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSV' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTreeReadJSON' -fuzztime $(FUZZTIME) ./internal/mtree/
 	$(GO) test -run '^$$' -fuzz 'FuzzMachineSpecReadJSON' -fuzztime $(FUZZTIME) ./internal/march/

@@ -73,6 +73,9 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 	if tj.Root == nil {
 		return nil, fmt.Errorf("mtree: decoded tree has no root")
 	}
+	if err := checkModels(tj.Root); err != nil {
+		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
+	}
 	t := &Tree{
 		Config:     tj.Config,
 		TargetName: tj.TargetName,
@@ -83,6 +86,29 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		Root:       fromNodeJSON(tj.Root),
 	}
 	return t, nil
+}
+
+// checkModels rejects a node model whose attrs and coefs differ in
+// length: evaluating it would index out of range, and its binary form
+// would not load. Nodes are numbered in preorder, as in the binary
+// format.
+func checkModels(root *nodeJSON) error {
+	i := 0
+	var walk func(*nodeJSON) error
+	walk = func(nj *nodeJSON) error {
+		if nj == nil {
+			return nil
+		}
+		if m := nj.Model; m != nil && len(m.Attrs) != len(m.Coefs) {
+			return fmt.Errorf("node %d: linear model has %d attrs but %d coefs", i, len(m.Attrs), len(m.Coefs))
+		}
+		i++
+		if err := walk(nj.Left); err != nil {
+			return err
+		}
+		return walk(nj.Right)
+	}
+	return walk(root)
 }
 
 func toTreeJSON(t *Tree) *treeJSON {

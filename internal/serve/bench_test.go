@@ -225,21 +225,8 @@ func BenchmarkServeConcurrentStream(b *testing.B) {
 // event encode weigh against scoring as they do in production.
 func BenchmarkServeStream(b *testing.B) {
 	const postLines, sessions = 16, 64
-	col, err := counters.CollectSuite(workload.SuiteScaled(0.05), counters.DefaultCollectConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	col, reg := suiteModel(b)
 	d := col.Data
-	cfg := mtree.DefaultConfig()
-	cfg.MinLeaf = 20
-	tree, err := mtree.Build(d, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
-		b.Fatal(err)
-	}
 	scfg := DefaultConfig()
 	scfg.Jobs = 1
 	scfg.CacheSize = 0
@@ -282,6 +269,88 @@ func BenchmarkServeStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*postLines)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// suiteModel collects a small simulator suite (a real 21-attribute
+// event schema) and registers a tree trained on it as cpi@v1.
+func suiteModel(b *testing.B) (*counters.Collection, *Registry) {
+	b.Helper()
+	col, err := counters.CollectSuite(workload.SuiteScaled(0.05), counters.DefaultCollectConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mtree.DefaultConfig()
+	cfg.MinLeaf = 20
+	tree, err := mtree.Build(col.Data, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
+		b.Fatal(err)
+	}
+	return col, reg
+}
+
+// BenchmarkServePredictShapes measures /v1/predict and /v1/classify in
+// the request shapes of the repository benchmark's predict workload, at
+// the default Config: execution-sized 260-row "rows" batches with and
+// without contributions, and single-row "events" bodies naming every
+// event, predicted and classified. Each shape cycles through bodies
+// built from different rows.
+func BenchmarkServePredictShapes(b *testing.B) {
+	col, reg := suiteModel(b)
+	d := col.Data
+	h := New(reg, DefaultConfig()).Handler()
+	attrs, target := d.Attrs(), d.TargetIndex()
+	const batchRows = 260
+	var batches, contribBatches, singles []string
+	for i := 0; i < 8; i++ {
+		rows := make([][]float64, batchRows)
+		for j := range rows {
+			rows[j] = d.Row((i*batchRows + j) % d.Len())
+		}
+		for _, contrib := range []bool{false, true} {
+			body, err := json.Marshal(predictRequest{Model: "cpi", Rows: rows, Contributions: contrib})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if contrib {
+				contribBatches = append(contribBatches, string(body))
+			} else {
+				batches = append(batches, string(body))
+			}
+		}
+	}
+	for i := 0; i < d.Len(); i++ {
+		events := make(map[string]float64, len(attrs)-1)
+		for j, v := range d.Row(i) {
+			if j != target {
+				events[attrs[j].Name] = v
+			}
+		}
+		body, err := json.Marshal(predictRequest{Model: "cpi", Events: []map[string]float64{events}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		singles = append(singles, string(body))
+	}
+	run := func(path string, bodies []string) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bodies[0])))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := post(h, path, bodies[i%len(bodies)]); rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+	b.Run("batch", run("/v1/predict", batches))
+	b.Run("batch-contributions", run("/v1/predict", contribBatches))
+	b.Run("single-events", run("/v1/predict", singles))
+	b.Run("classify", run("/v1/classify", singles))
 }
 
 // BenchmarkPredictionCache isolates the cache itself.

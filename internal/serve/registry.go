@@ -30,6 +30,11 @@ type Entry struct {
 	// Format is the source file's on-disk format (modelio.FormatJSON or
 	// modelio.FormatBinary), empty for models registered in-process.
 	Format string
+	// cols maps each schema attribute name to its column, built once at
+	// Register; for a repeated name the last column wins.
+	cols map[string]int
+	// width is the schema width, len(Model.Describe().AttrNames).
+	width int
 }
 
 // Ref is the entry's canonical reference, "name@version".
@@ -69,6 +74,11 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 			m = cm
 		}
 	}
+	attrs := m.Describe().AttrNames
+	cols := make(map[string]int, len(attrs))
+	for i, n := range attrs {
+		cols[n] = i
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	vs := r.entries[name]
@@ -79,7 +89,7 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	if _, dup := vs[version]; dup {
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
-	vs[version] = &Entry{Name: name, Version: version, Path: path, Model: m}
+	vs[version] = &Entry{Name: name, Version: version, Path: path, Model: m, cols: cols, width: len(attrs)}
 	r.latest[name] = version
 	return nil
 }

@@ -47,10 +47,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -264,9 +267,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 			"response holds a value JSON cannot carry: %v", err)
 		return
 	}
+	writeBytes(w, status, append(b, '\n'))
+}
+
+// writeBytes writes an encoded JSON response body.
+func writeBytes(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(b, '\n'))
+	_, _ = w.Write(b)
+}
+
+// writePredictResponse writes a 200 /v1/predict response through the
+// append encoder. A NaN or ±Inf answer fails json.Marshal too, so it
+// goes to writeJSON, which turns it into the 422 non_finite_prediction.
+func writePredictResponse(w http.ResponseWriter, resp *predictResponse) {
+	// Presize for ~24 bytes per float and ~140 per contribution term.
+	size := 64 + len(resp.Model) + 24*len(resp.Predictions)
+	for _, cs := range resp.Contributions {
+		size += 8 + 140*len(cs)
+	}
+	b, ok := appendPredictResponse(make([]byte, 0, size), resp)
+	if !ok {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	writeBytes(w, http.StatusOK, b)
 }
 
 // predictRequest addresses a model and carries instances in one of three
@@ -296,7 +321,12 @@ type predictResponse struct {
 // bodies (413) from malformed ones (400).
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return s.decodeJSON(w, r.Body, v)
+}
+
+// decodeJSON is decodeBody over a reader already size-capped.
+func (s *Server) decodeJSON(w http.ResponseWriter, src io.Reader, v any) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -312,9 +342,56 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// readInput reads a /v1/predict or /v1/classify request. A canonical
+// body takes decodeFast; any other is decoded by encoding/json from
+// the bytes already read followed by the read error, then resolved by
+// lookup and resolveRows, which write every rejection — so statuses,
+// codes and messages are the same whichever path a body takes.
+// classify adds /v1/classify's checks: no contributions, and a model
+// with leaf classes.
+func (s *Server) readInput(w http.ResponseWriter, r *http.Request, classify bool) (predictInput, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, readErr := readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	if readErr == nil {
+		if in, ok := s.decodeFast(body); ok && !(classify && in.contributions) {
+			if classify && !classifiable(w, in.e) {
+				return predictInput{}, false
+			}
+			return in, true
+		}
+	}
+	src := io.Reader(bytes.NewReader(body))
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	var req predictRequest
+	if !s.decodeJSON(w, src, &req) {
+		return predictInput{}, false
+	}
+	if classify && req.Contributions {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, `"contributions" is a /v1/predict option`)
+		return predictInput{}, false
+	}
+	e := s.lookup(w, req.Model)
+	if e == nil || (classify && !classifiable(w, e)) {
+		return predictInput{}, false
+	}
+	rows, err := resolveRows(&req, e)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
+		return predictInput{}, false
+	}
+	if len(rows) > s.cfg.MaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
+			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
+		return predictInput{}, false
+	}
+	return predictInput{e: e, rows: rows, contributions: req.Contributions}, true
+}
+
 // resolveRows turns whichever instance form the request used into
 // full-width dataset instances validated against the model's schema.
-func resolveRows(req *predictRequest, desc model.Description) ([]dataset.Instance, error) {
+func resolveRows(req *predictRequest, e *Entry) ([]dataset.Instance, error) {
 	forms := 0
 	if req.Row != nil {
 		forms++
@@ -328,7 +405,7 @@ func resolveRows(req *predictRequest, desc model.Description) ([]dataset.Instanc
 	if forms != 1 {
 		return nil, fmt.Errorf(`provide exactly one of "row", "rows" or "events"`)
 	}
-	width := len(desc.AttrNames)
+	width := e.width
 	var rows []dataset.Instance
 	switch {
 	case req.Row != nil:
@@ -339,19 +416,22 @@ func resolveRows(req *predictRequest, desc model.Description) ([]dataset.Instanc
 			rows[i] = r
 		}
 	default:
-		idx := make(map[string]int, width)
-		for i, n := range desc.AttrNames {
-			idx[n] = i
-		}
 		rows = make([]dataset.Instance, len(req.Events))
 		for i, ev := range req.Events {
 			row := make(dataset.Instance, width)
+			var unknown []string
 			for name, v := range ev {
-				j, ok := idx[name]
+				j, ok := e.cols[name]
 				if !ok {
-					return nil, fmt.Errorf("row %d: unknown event %q", i, name)
+					unknown = append(unknown, name)
+					continue
 				}
 				row[j] = v
+			}
+			if len(unknown) > 0 {
+				// Name the smallest, so the message does not depend on
+				// map iteration order.
+				return nil, fmt.Errorf("row %d: unknown event %q", i, slices.Min(unknown))
 			}
 			rows[i] = row
 		}
@@ -362,7 +442,7 @@ func resolveRows(req *predictRequest, desc model.Description) ([]dataset.Instanc
 	for i, r := range rows {
 		if len(r) != width {
 			return nil, fmt.Errorf("row %d has %d values, model schema has %d columns (including target %q)",
-				i, len(r), width, desc.Target)
+				i, len(r), width, e.Model.Describe().Target)
 		}
 	}
 	return rows, nil
@@ -384,38 +464,24 @@ func (s *Server) lookup(w http.ResponseWriter, ref string) *Entry {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decodeBody(w, r, &req) {
+	in, ok := s.readInput(w, r, false)
+	if !ok {
 		return
 	}
-	e := s.lookup(w, req.Model)
-	if e == nil {
-		return
-	}
-	rows, err := resolveRows(&req, e.Model.Describe())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
-	}
-	if len(rows) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
-		return
-	}
-
-	resp := predictResponse{Model: e.Ref(), N: len(rows)}
-	if req.Contributions {
+	e, rows := in.e, in.rows
+	ref := e.Ref()
+	resp := predictResponse{Model: ref, N: len(rows)}
+	if in.contributions {
 		resp.Contributions = make([][]model.Contribution, len(rows))
 	}
-	ref := e.Ref()
 	// Prediction-only requests against a compiled model take the batch
 	// kernel: one PredictInto sweep (chunked across workers for large
 	// batches) instead of per-row interface dispatch. The kernel's output
 	// is bit-identical to per-row Predict, so which path runs is
 	// unobservable in the response.
-	if bp, ok := e.Model.(model.BatchPredictor); ok && !req.Contributions {
+	if bp, ok := e.Model.(model.BatchPredictor); ok && !in.contributions {
 		resp.Predictions = s.predictBatch(bp, ref, rows)
-		writeJSON(w, http.StatusOK, resp)
+		writePredictResponse(w, &resp)
 		return
 	}
 	// Ordered fan-out: parallel.Map returns results in input order, so
@@ -428,7 +494,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// pays for itself; ForItems keeps them on the serial path.
 	resp.Predictions, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
 		func(i int, row dataset.Instance) (float64, error) {
-			if req.Contributions {
+			if in.contributions {
 				resp.Contributions[i] = e.Model.Contributions(row)
 			}
 			var kb [256]byte
@@ -443,7 +509,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			s.cache.PutBytes(key, v)
 			return v, nil
 		})
-	writeJSON(w, http.StatusOK, resp)
+	writePredictResponse(w, &resp)
 }
 
 // predictBatch answers a prediction-only request through the model's
@@ -515,6 +581,18 @@ type classifier interface {
 	Classify(row dataset.Instance) (*mtree.Node, []mtree.PathStep)
 }
 
+// classifiable reports whether e's model exposes leaf classes, writing
+// the 422 itself when it does not.
+func classifiable(w http.ResponseWriter, e *Entry) bool {
+	if _, ok := e.Model.(classifier); !ok {
+		writeError(w, http.StatusUnprocessableEntity, ErrCodeUnsupported,
+			"model %s (%s) does not expose leaf classes; classify requires a single tree",
+			e.Ref(), e.Model.Describe().Kind)
+		return false
+	}
+	return true
+}
+
 type classifyStep struct {
 	Event     string  `json:"event"`
 	Threshold float64 `json:"threshold"`
@@ -541,36 +619,12 @@ type classifyResponse struct {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Contributions {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, `"contributions" is a /v1/predict option`)
-		return
-	}
-	e := s.lookup(w, req.Model)
-	if e == nil {
-		return
-	}
-	cl, ok := e.Model.(classifier)
+	in, ok := s.readInput(w, r, true)
 	if !ok {
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeUnsupported,
-			"model %s (%s) does not expose leaf classes; classify requires a single tree",
-			e.Ref(), e.Model.Describe().Kind)
 		return
 	}
-	rows, err := resolveRows(&req, e.Model.Describe())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
-	}
-	if len(rows) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
-		return
-	}
-
+	e, rows := in.e, in.rows
+	cl := e.Model.(classifier) // readInput checked it
 	resp := classifyResponse{Model: e.Ref(), N: len(rows)}
 	resp.Classes, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
 		func(i int, row dataset.Instance) (classification, error) {

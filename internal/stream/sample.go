@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/dataset"
+	"repro/internal/jsonfast"
 	"repro/internal/model"
 )
 
@@ -151,16 +152,14 @@ func (d *Decoder) Failed() bool { return d.err != nil && d.err != io.EOF }
 
 // trimSpace trims ASCII whitespace without allocating.
 func trimSpace(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
+	for len(b) > 0 && jsonfast.IsSpace(b[0]) {
 		b = b[1:]
 	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
+	for len(b) > 0 && jsonfast.IsSpace(b[len(b)-1]) {
 		b = b[:len(b)-1]
 	}
 	return b
 }
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // schema precomputes the lookups for mapping samples onto a model's
 // attribute layout.
