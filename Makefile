@@ -22,8 +22,8 @@ race:
 	$(GO) test -race -short ./...
 
 # Full (not -short) race run of the serving hot path: the lock-striped
-# session table, the atomic histogram and sharded prediction cache, and
-# the stream/phase machinery behind them. These packages carry the
+# session table, the atomic histogram, and the stream/phase machinery
+# behind them. These packages carry the
 # concurrency added for multi-session serving, so they get a dedicated
 # race gate beyond the -short sweep above.
 race-serve:
@@ -66,7 +66,7 @@ bench-parallel:
 bench:
 	$(GO) test -run '^$$' -bench . .
 
-# Served-prediction latency, cached vs uncached (see DESIGN.md §8), and
+# Served-prediction latency, single tree vs ensemble (see DESIGN.md §8), and
 # the /v1/stream request path on 16-sample posts (see DESIGN.md §9).
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Predict|Stream)' -benchtime 50x ./internal/serve/
@@ -153,9 +153,9 @@ crossarch-smoke:
 
 # End-to-end smoke test of the prediction service: build cmd/serve, start
 # it with a self-trained demo model, wait for /healthz, POST the same
-# prediction twice (the second must hit the LRU cache), assert HTTP 200,
-# and print the /metrics report (request counts, latency quantiles, cache
-# hit rate). Always kills the server on exit.
+# prediction twice, assert HTTP 200 and byte-identical bodies (a repeat
+# must answer the same bytes), and print the /metrics report (request
+# counts, latency quantiles). Always kills the server on exit.
 SMOKE_ADDR ?= 127.0.0.1:18466
 SMOKE_BIN  ?= /tmp/repro-serve-smoke
 
@@ -170,13 +170,14 @@ serve-smoke:
 	done; \
 	test $$ok -eq 1 || { echo "serve-smoke: server never became healthy"; exit 1; }; \
 	for i in 1 2; do \
-	  code=$$(curl -s -o $(SMOKE_BIN).predict.json -w '%{http_code}' \
+	  code=$$(curl -s -o $(SMOKE_BIN).predict.$$i.json -w '%{http_code}' \
 	    -X POST -H 'Content-Type: application/json' \
 	    -d '{"model":"demo","events":[{"L2M":0.004,"L1IM":0.002}],"contributions":true}' \
 	    http://$(SMOKE_ADDR)/v1/predict); \
-	  test "$$code" = 200 || { echo "serve-smoke: predict returned HTTP $$code"; cat $(SMOKE_BIN).predict.json; exit 1; }; \
+	  test "$$code" = 200 || { echo "serve-smoke: predict returned HTTP $$code"; cat $(SMOKE_BIN).predict.$$i.json; exit 1; }; \
 	done; \
-	echo "serve-smoke: predict OK (2x HTTP 200):"; cat $(SMOKE_BIN).predict.json; \
+	cmp $(SMOKE_BIN).predict.1.json $(SMOKE_BIN).predict.2.json || { echo "serve-smoke: repeated predict answered different bytes"; exit 1; }; \
+	echo "serve-smoke: predict OK (2x HTTP 200, identical bodies):"; cat $(SMOKE_BIN).predict.1.json; \
 	echo "serve-smoke: metrics:"; curl -s http://$(SMOKE_ADDR)/metrics; \
 	echo "serve-smoke: PASS"
 

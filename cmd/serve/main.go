@@ -15,7 +15,7 @@
 // Usage:
 //
 //	serve -model cpi=tree.json [-model cpi@v2=tree2.json] [-addr :8080]
-//	      [-jobs N] [-cache 4096] [-cache-quantum 0] [-timeout 10s]
+//	      [-jobs N] [-timeout 10s]
 //	      [-max-body 1048576] [-max-batch 4096]
 //	      [-stream-window 32] [-stream-buffer 256]
 //	      [-stream-policy block|drop-oldest|reject]
@@ -124,9 +124,7 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	fs.Var(&models, "model", "model to serve, as name=path or name@version=path (repeatable)")
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		jobs      = fs.Int("jobs", 0, "batch-prediction workers (0 = all cores, 1 = serial; responses are identical)")
-		cacheSize = fs.Int("cache", 4096, "LRU prediction cache entries (0 disables)")
-		quantum   = fs.Float64("cache-quantum", 0, "cache key quantization step (0 = exact bits, hits cannot change responses)")
+		jobs      = fs.Int("jobs", 0, "/v1/stream scoring and -demo training workers (0 = all cores, 1 = serial; responses are identical)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request handler timeout (0 disables; /v1/stream streams and is exempt)")
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
@@ -179,8 +177,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 
 	cfg := serve.DefaultConfig()
 	cfg.Jobs = *jobs
-	cfg.CacheSize = *cacheSize
-	cfg.CacheQuantum = *quantum
 	cfg.MaxBodyBytes = *maxBody
 	cfg.MaxBatch = *maxBatch
 	cfg.RequestTimeout = *timeout

@@ -289,7 +289,6 @@ func TestRefutationDeterministicAcrossJobsAndShards(t *testing.T) {
 			scfg := serve.DefaultConfig()
 			scfg.Jobs = jobs
 			scfg.SessionShards = shards
-			scfg.CacheSize = 0
 			h := serve.New(reg, scfg).Handler()
 
 			req := httptest.NewRequest(http.MethodPost, "/v1/stream?model=cpi&session=det",

@@ -58,8 +58,8 @@ type LatencyMs struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// snapshot reports quantiles as bucket upper bounds (the max for the
-// overflow bucket), like the server's histogram.
+// snapshot reports quantiles as bucket upper bounds clamped to the
+// observed max, like the server's histogram.
 func (h *hist) snapshot() LatencyMs {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -78,7 +78,7 @@ func (h *hist) snapshot() LatencyMs {
 			cum += c
 			if cum >= rank {
 				if i < len(histBoundsMs) {
-					return histBoundsMs[i]
+					return min(histBoundsMs[i], h.maxMs)
 				}
 				return h.maxMs
 			}

@@ -190,8 +190,8 @@ type TraceConfig struct {
 	Mix Mix `json:"mix"`
 	// Sessions is the number of distinct synthetic clients. Each
 	// session draws its own base event-rate profile, so payloads
-	// cluster per session — a prediction cache sees realistic reuse
-	// instead of all-unique or all-identical keys. Stream requests
+	// cluster per session — the server sees realistic row reuse
+	// instead of all-unique or all-identical rows. Stream requests
 	// carry their session id (?session=sN), so the server keeps one
 	// monitor timeline per synthetic client and the run spreads over
 	// the session table's shards.

@@ -17,10 +17,8 @@ import (
 )
 
 // BenchmarkServePredict measures the full request path — JSON decode,
-// registry lookup, prediction, JSON encode — for a 64-row batch, with the
-// LRU cache cold-off and warm-on. A single small tree predicts in a few
-// hundred nanoseconds, so for it the cache is overhead; the bagged
-// ensemble shows where a warm hit pays: it skips all member predictions.
+// registry lookup, prediction, JSON encode — for a 64-row batch against
+// a single tree and a 10-tree bagged ensemble.
 func BenchmarkServePredict(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()
@@ -45,7 +43,6 @@ func BenchmarkServePredict(b *testing.B) {
 			b.Fatal(err)
 		}
 		h := New(reg, scfg).Handler()
-		// One warm-up request fills the cache where enabled.
 		if rec := post(h, "/v1/predict", body); rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
@@ -60,23 +57,15 @@ func BenchmarkServePredict(b *testing.B) {
 		}
 	}
 
-	serial := func(cache int) Config {
-		return Config{Jobs: 1, CacheSize: cache, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
-	}
-	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, serial(0)) })
-	b.Run("tree-cached", func(b *testing.B) { run(b, tree, serial(4096)) })
-	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, serial(0)) })
-	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, serial(4096)) })
-	b.Run("ensemble-uncached-parallel", func(b *testing.B) {
-		run(b, bag, Config{Jobs: 0, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096})
-	})
+	scfg := Config{Jobs: 1, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
+	b.Run("tree", func(b *testing.B) { run(b, tree, scfg) })
+	b.Run("ensemble", func(b *testing.B) { run(b, bag, scfg) })
 }
 
 // BenchmarkServePredictBatch measures the batch endpoint with the
 // compiled batch kernel against the per-row fallback (a model wrapped
 // so it hides Compilable/BatchPredictor), for a large batch where the
-// kernel's amortization matters. Uncached, serial: the numbers isolate
-// the prediction path, not the LRU or the worker fan-out.
+// kernel's amortization matters.
 func BenchmarkServePredictBatch(b *testing.B) {
 	d := perfData(4000, 11)
 	cfg := mtree.DefaultConfig()
@@ -94,7 +83,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	}
 
 	body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 256))
-	scfg := Config{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
+	scfg := Config{Jobs: 1, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
 
 	run := func(b *testing.B, m model.Model) {
 		reg := NewRegistry()
@@ -126,9 +115,8 @@ func BenchmarkServePredictBatch(b *testing.B) {
 // BenchmarkServeConcurrentPredict measures the request path under
 // concurrent clients (run with -cpu 1,4,8 to see core scaling): every
 // goroutine posts single-row predictions against the same model, so
-// the cache shards, the atomic histogram and the endpoint counters are
-// all on the contended path. Jobs=1 keeps each request serial — the
-// parallelism under test is request concurrency, not batch fan-out.
+// the atomic histogram and the endpoint counters are on the contended
+// path. The parallelism under test is request concurrency.
 func BenchmarkServeConcurrentPredict(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()
@@ -229,7 +217,6 @@ func BenchmarkServeStream(b *testing.B) {
 	d := col.Data
 	scfg := DefaultConfig()
 	scfg.Jobs = 1
-	scfg.CacheSize = 0
 	h := New(reg, scfg).Handler()
 
 	var lines []string
@@ -351,22 +338,4 @@ func BenchmarkServePredictShapes(b *testing.B) {
 	b.Run("batch-contributions", run("/v1/predict", contribBatches))
 	b.Run("single-events", run("/v1/predict", singles))
 	b.Run("classify", run("/v1/classify", singles))
-}
-
-// BenchmarkPredictionCache isolates the cache itself.
-func BenchmarkPredictionCache(b *testing.B) {
-	c := NewPredictionCache(1024)
-	d := perfData(256, 23)
-	keys := make([]string, d.Len())
-	for i := range keys {
-		keys[i] = CacheKey("cpi@v1", d.Row(i), 0)
-		c.Put(keys[i], float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("miss")
-		}
-	}
 }

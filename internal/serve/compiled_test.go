@@ -2,9 +2,9 @@ package serve
 
 // Tests for the compiled serving path: the registry compiles models at
 // registration, and the batch kernel in handlePredict produces
-// responses byte-identical to the per-row fallback under every cache
-// and worker configuration — the "which path ran" question must be
-// unanswerable from outside.
+// responses byte-identical to the per-row fallback under every worker
+// configuration — the "which path ran" question must be unanswerable
+// from outside.
 
 import (
 	"fmt"
@@ -75,8 +75,8 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 
 // TestBatchKernelResponseIdentical: for the same request, the compiled
 // batch kernel and the per-row pointer walk return byte-identical
-// bodies — across batch sizes straddling the parallel cutoff, cache
-// off/cold/warm, serial and parallel workers, and both model kinds.
+// bodies — across batch sizes, serial and parallel workers, a repeated
+// request, and both model kinds.
 func TestBatchKernelResponseIdentical(t *testing.T) {
 	d := perfData(600, 11)
 	tree := buildServeTree(t, d)
@@ -86,10 +86,10 @@ func TestBatchKernelResponseIdentical(t *testing.T) {
 	}
 
 	configs := []Config{
-		{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 1, CacheSize: 512, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 0, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 3, CacheSize: 4096, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 1, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 1, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 3, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 	}
 	for _, m := range []struct {
 		name  string
@@ -106,14 +106,14 @@ func TestBatchKernelResponseIdentical(t *testing.T) {
 					}
 					h := New(reg, cfg).Handler()
 					var last string
-					// Two requests: the second hits a warm cache when enabled.
+					// Two requests: the repeat must answer the same bytes.
 					for i := 0; i < 2; i++ {
 						rec := post(h, "/v1/predict", body)
 						if rec.Code != http.StatusOK {
 							t.Fatalf("status %d: %s", rec.Code, rec.Body)
 						}
 						if i > 0 && last != rec.Body.String() {
-							t.Fatalf("%s rows=%d cfg=%d: warm response differs from cold", m.name, rows, ci)
+							t.Fatalf("%s rows=%d cfg=%d: repeated response differs from first", m.name, rows, ci)
 						}
 						last = rec.Body.String()
 					}

@@ -74,9 +74,10 @@ func (h *histogram) observe(d time.Duration) {
 	}
 }
 
-// quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket holding the q-th observation — an overestimate by at most
-// one bucket width, which is what fixed buckets buy.
+// snapshot merges the stripes. A quantile estimate is the upper bound
+// of the bucket holding the q-th observation, clamped to the observed
+// max — an overestimate by at most one bucket width, which is what
+// fixed buckets buy, and never above max_ms.
 func (h *histogram) snapshot() latencySnapshot {
 	counts := make([]uint64, len(latencyBucketsMs)+1)
 	var total uint64
@@ -107,7 +108,7 @@ func (h *histogram) snapshot() latencySnapshot {
 			cum += c
 			if cum >= rank {
 				if i < len(latencyBucketsMs) {
-					return latencyBucketsMs[i]
+					return min(latencyBucketsMs[i], maxMs)
 				}
 				return maxMs
 			}
@@ -170,17 +171,15 @@ type endpointSnapshot struct {
 type metricsRegistry struct {
 	start     time.Time
 	endpoints map[string]*endpointMetrics
-	cache     *PredictionCache // nil when caching is disabled
 	models    func() int
 	machines  func() map[string]int // nil when no registry is attached
 	streams   *streamSessions       // nil when the server has no stream surface
 }
 
-func newMetricsRegistry(routes []string, cache *PredictionCache, models func() int, machines func() map[string]int, streams *streamSessions) *metricsRegistry {
+func newMetricsRegistry(routes []string, models func() int, machines func() map[string]int, streams *streamSessions) *metricsRegistry {
 	m := &metricsRegistry{
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointMetrics, len(routes)),
-		cache:     cache,
 		models:    models,
 		machines:  machines,
 		streams:   streams,
@@ -191,15 +190,6 @@ func newMetricsRegistry(routes []string, cache *PredictionCache, models func() i
 	return m
 }
 
-type cacheSnapshot struct {
-	Enabled bool    `json:"enabled"`
-	Size    int     `json:"size"`
-	Cap     int     `json:"cap"`
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
 type metricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Models        int     `json:"models"`
@@ -208,7 +198,6 @@ type metricsSnapshot struct {
 	// registry is empty.
 	Machines  map[string]int              `json:"machines,omitempty"`
 	Endpoints map[string]endpointSnapshot `json:"endpoints"`
-	Cache     cacheSnapshot               `json:"cache"`
 	Streams   streamsSnapshot             `json:"streams"`
 }
 
@@ -229,13 +218,6 @@ func (m *metricsRegistry) snapshot() metricsSnapshot {
 			Errors:    em.errors.Load(),
 			InFlight:  em.inFlight.Load(),
 			LatencyMs: em.latency.snapshot(),
-		}
-	}
-	if m.cache != nil {
-		hits, misses, size := m.cache.Stats()
-		s.Cache = cacheSnapshot{Enabled: true, Size: size, Cap: m.cache.Cap(), Hits: hits, Misses: misses}
-		if total := hits + misses; total > 0 {
-			s.Cache.HitRate = float64(hits) / float64(total)
 		}
 	}
 	if m.streams != nil {
@@ -278,12 +260,6 @@ func (s metricsSnapshot) renderText() []byte {
 		fmt.Fprintf(&b, "serve_latency_ms{route=%q,stat=\"p99\"} %g\n", r, l.P99Ms)
 		fmt.Fprintf(&b, "serve_latency_ms{route=%q,stat=\"max\"} %g\n", r, l.MaxMs)
 	}
-	fmt.Fprintf(&b, "serve_cache_enabled %d\n", boolToInt(s.Cache.Enabled))
-	fmt.Fprintf(&b, "serve_cache_size %d\n", s.Cache.Size)
-	fmt.Fprintf(&b, "serve_cache_cap %d\n", s.Cache.Cap)
-	fmt.Fprintf(&b, "serve_cache_hits_total %d\n", s.Cache.Hits)
-	fmt.Fprintf(&b, "serve_cache_misses_total %d\n", s.Cache.Misses)
-	fmt.Fprintf(&b, "serve_cache_hit_rate %g\n", s.Cache.HitRate)
 	fmt.Fprintf(&b, "serve_stream_sessions %d\n", s.Streams.Sessions)
 	fmt.Fprintf(&b, "serve_stream_depth %d\n", s.Streams.Depth)
 	fmt.Fprintf(&b, "serve_stream_accepted_total %d\n", s.Streams.Accepted)
@@ -321,11 +297,4 @@ func (s metricsSnapshot) renderText() []byte {
 		fmt.Fprintf(&b, "serve_stream_shard_evictions_total{shard=\"%d\"} %d\n", i, sh.Evictions)
 	}
 	return b.Bytes()
-}
-
-func boolToInt(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
 }

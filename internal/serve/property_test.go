@@ -1,9 +1,8 @@
 package serve
 
-// Conformance properties for the HTTP layer: the prediction cache and
-// the worker pool must be semantically invisible (byte-identical
-// responses), and /v1/stream must not care how a trace is chunked
-// across requests. These run against randomized request mixes rather
+// Conformance properties for the HTTP layer: the worker count must be
+// semantically invisible (byte-identical responses), and /v1/stream
+// must not care how a trace is chunked across requests. These run against randomized request mixes rather
 // than the fixture-driven cases in serve_test.go.
 
 import (
@@ -71,47 +70,6 @@ func genRequests(r *proptest.Rand, rows [][4]float64, n int) []apiRequest {
 	return reqs
 }
 
-// TestCacheTransparency: a caching server and an uncached one answer an
-// identical randomized request sequence with byte-identical responses —
-// the cache is a pure optimization. The /metrics probe at the end
-// proves the cache actually engaged, so the equality is not vacuous.
-func TestCacheTransparency(t *testing.T) {
-	cfgOn := DefaultConfig()
-	cfgOn.CacheSize = 1024
-	cfgOff := DefaultConfig()
-	cfgOff.CacheSize = 0
-	sOn, _, _ := newTestServer(t, cfgOn)
-	sOff, _, _ := newTestServer(t, cfgOff)
-	hOn, hOff := sOn.Handler(), sOff.Handler()
-
-	proptest.Run(t, "cache-transparent", 6, func(t *testing.T, r *proptest.Rand) {
-		rows := genRows(r, r.IntBetween(3, 10))
-		for i, req := range genRequests(r, rows, 40) {
-			a := post(hOn, req.path, req.body)
-			b := post(hOff, req.path, req.body)
-			if a.Code != b.Code {
-				t.Fatalf("request %d (%s %s): status %d cached vs %d uncached",
-					i, req.path, req.body, a.Code, b.Code)
-			}
-			if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
-				t.Fatalf("request %d (%s %s): cached response %s differs from uncached %s",
-					i, req.path, req.body, a.Body, b.Body)
-			}
-		}
-	})
-
-	var snap struct {
-		Cache cacheSnapshot `json:"cache"`
-	}
-	if err := json.Unmarshal(get(hOn, "/v1/metrics.json").Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Cache.Enabled || snap.Cache.Hits == 0 {
-		t.Fatalf("cache never engaged (enabled %v, hits %d): the transparency "+
-			"property tested nothing", snap.Cache.Enabled, snap.Cache.Hits)
-	}
-}
-
 // TestBatchMatchesSingles: one batch request returns exactly the
 // predictions of per-row single requests, at any Jobs setting, and the
 // full response bodies are byte-identical between -jobs 1 and -jobs 8.
@@ -120,7 +78,6 @@ func TestBatchMatchesSingles(t *testing.T) {
 	newServer := func(jobs int) http.Handler {
 		cfg := DefaultConfig()
 		cfg.Jobs = jobs
-		cfg.CacheSize = 0
 		s, _, _ := newTestServer(t, cfg)
 		return s.Handler()
 	}

@@ -140,8 +140,8 @@ func TestPredictNamedEvents(t *testing.T) {
 }
 
 // TestBatchDeterminism is the acceptance check: batch responses must be
-// byte-identical to serial Tree.Predict at any worker count, cache on or
-// off, warm or cold.
+// byte-identical to serial Tree.Predict at any worker count, on every
+// repeat of the request.
 func TestBatchDeterminism(t *testing.T) {
 	d := perfData(1200, 5)
 	tree := buildTree(t, d)
@@ -149,16 +149,16 @@ func TestBatchDeterminism(t *testing.T) {
 
 	var bodies [][]byte
 	for _, cfg := range []Config{
-		{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 8, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 8, CacheSize: 1024, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 1, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 8, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{Jobs: 8, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 	} {
 		reg := NewRegistry()
 		if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 			t.Fatal(err)
 		}
 		h := New(reg, cfg).Handler()
-		// Twice per config: the second pass hits a warm cache where enabled.
+		// Twice per config: a repeat must answer the same bytes.
 		for pass := 0; pass < 2; pass++ {
 			rec := post(h, "/v1/predict", body)
 			if rec.Code != http.StatusOK {
@@ -435,16 +435,16 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives traffic (including a repeated request that
-// must hit the cache) and checks the /v1/metrics.json report: request
-// counts, error counts, latency quantiles, histogram buckets and the
-// cache hit rate, plus the text rendering at /metrics.
+// TestMetricsEndpoint drives traffic (including a repeated request and
+// one error) and checks the /v1/metrics.json report: request counts,
+// error counts, in-flight gauge, latency quantiles ordered up to the
+// max, and histogram buckets.
 func TestMetricsEndpoint(t *testing.T) {
 	s, _, d := newTestServer(t, DefaultConfig())
 	h := s.Handler()
 
 	body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 50))
-	for i := 0; i < 3; i++ { // passes 2 and 3 are pure cache hits
+	for i := 0; i < 3; i++ {
 		if rec := post(h, "/v1/predict", body); rec.Code != http.StatusOK {
 			t.Fatalf("predict pass %d: %d", i, rec.Code)
 		}
@@ -466,18 +466,13 @@ func TestMetricsEndpoint(t *testing.T) {
 				P50     float64 `json:"p50_ms"`
 				P90     float64 `json:"p90_ms"`
 				P99     float64 `json:"p99_ms"`
+				Max     float64 `json:"max_ms"`
 				Buckets []struct {
 					LeMs  float64 `json:"le_ms"`
 					Count uint64  `json:"count"`
 				} `json:"buckets"`
 			} `json:"latency_ms"`
 		} `json:"endpoints"`
-		Cache struct {
-			Enabled bool    `json:"enabled"`
-			Hits    uint64  `json:"hits"`
-			Misses  uint64  `json:"misses"`
-			HitRate float64 `json:"hit_rate"`
-		} `json:"cache"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
@@ -492,8 +487,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ep.InFlight != 0 {
 		t.Errorf("predict in_flight = %d, want 0", ep.InFlight)
 	}
-	if ep.LatencyMs.P50 <= 0 || ep.LatencyMs.P99 < ep.LatencyMs.P50 {
-		t.Errorf("implausible latency quantiles: %+v", ep.LatencyMs)
+	if l := ep.LatencyMs; l.P50 <= 0 || l.P90 < l.P50 || l.P99 < l.P90 || l.Max < l.P99 {
+		t.Errorf("latency quantiles not ordered p50 <= p90 <= p99 <= max: %+v", l)
 	}
 	if ep.LatencyMs.Count != 4 {
 		t.Errorf("latency count = %d, want 4", ep.LatencyMs.Count)
@@ -510,15 +505,6 @@ func TestMetricsEndpoint(t *testing.T) {
 				t.Fatalf("bucket counts not cumulative at %d: %+v", i, ep.LatencyMs.Buckets)
 			}
 		}
-	}
-	if !snap.Cache.Enabled {
-		t.Fatal("cache not reported enabled")
-	}
-	if snap.Cache.Hits != 100 || snap.Cache.Misses != 50 {
-		t.Errorf("cache hits/misses = %d/%d, want 100/50", snap.Cache.Hits, snap.Cache.Misses)
-	}
-	if snap.Cache.HitRate < 0.66 || snap.Cache.HitRate > 0.67 {
-		t.Errorf("hit rate %v, want ~2/3", snap.Cache.HitRate)
 	}
 	if snap.Models != 1 {
 		t.Errorf("models = %d, want 1", snap.Models)
@@ -548,7 +534,6 @@ func TestMetricsText(t *testing.T) {
 		`serve_requests_total{route="/v1/predict"} 1` + "\n",
 		`serve_errors_total{route="/v1/predict"} 0` + "\n",
 		`serve_latency_ms{route="/v1/predict",stat="p50"} `,
-		"serve_cache_enabled 1\n",
 		"serve_stream_sessions 0\n",
 	} {
 		if !strings.Contains(text, want) {
@@ -626,38 +611,5 @@ func TestModelDetail(t *testing.T) {
 	var env errorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != ErrCodeNotFound {
 		t.Errorf("bad 404 envelope: %s", rec.Body)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c := NewPredictionCache(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Error("a lost")
-	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
-		t.Error("c lost")
-	}
-}
-
-func TestCacheKeyQuantization(t *testing.T) {
-	r1 := dataset.Instance{0, 1.00000001, 2}
-	r2 := dataset.Instance{0, 1.00000002, 2}
-	if CacheKey("m", r1, 0) == CacheKey("m", r2, 0) {
-		t.Error("exact keying collided for distinct inputs")
-	}
-	if CacheKey("m", r1, 1e-3) != CacheKey("m", r2, 1e-3) {
-		t.Error("quantized keying failed to merge near-identical inputs")
-	}
-	if CacheKey("m1", r1, 0) == CacheKey("m2", r1, 0) {
-		t.Error("different models share a key")
 	}
 }

@@ -25,7 +25,7 @@
 //	                   same JSON document -march-file accepts)
 //	GET  /v1/metrics.json  machine-readable counters: per-endpoint
 //	                   request/error counts, latency histogram buckets,
-//	                   cache and stream stats
+//	                   stream stats
 //	GET  /healthz      liveness + model count
 //	GET  /metrics      the same counters as a text exposition
 //
@@ -35,12 +35,12 @@
 //
 // The registry compiles every Compilable model at registration (and
 // binary model files load pre-compiled), so the hot path evaluates the
-// flat-array forms; prediction-only batches additionally run the
+// flat-array forms; prediction-only requests additionally run the
 // zero-allocation PredictInto kernel. Both are bit-identical to the
-// pointer-walk models, and batch fan-out over internal/parallel keeps
-// responses byte-identical at any worker count; the optional LRU cache
-// keys on exact value bits by default, so it can never change a
-// response either. Request bodies are size-capped
+// pointer-walk models, so which path answers is unobservable in the
+// response. There is no prediction cache and no per-request worker
+// fan-out: a prediction costs less than either would (DESIGN.md §8).
+// Request bodies are size-capped
 // and handlers time-limited (except the streaming /v1/stream route,
 // which flushes incrementally instead — see Handler), making the hot
 // path safe to expose.
@@ -59,22 +59,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mtree"
-	"repro/internal/parallel"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
 // Config holds the service knobs.
 type Config struct {
-	// Jobs is the worker count for batch prediction (0 = all cores,
-	// 1 = serial). Responses are identical at any value.
+	// Jobs is the worker count for /v1/stream window scoring (0 = all
+	// cores, 1 = serial). Responses are identical at any value.
 	Jobs int
-	// CacheSize bounds the LRU prediction cache (entries); 0 disables
-	// caching.
-	CacheSize int
-	// CacheQuantum quantizes feature values before cache keying; 0 (the
-	// default) keys on exact bits so a hit can never change a response.
-	CacheQuantum float64
 	// MaxBodyBytes caps request body size.
 	MaxBodyBytes int64
 	// MaxBatch caps the number of rows per request.
@@ -103,8 +96,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Jobs:           0,
-		CacheSize:      4096,
-		CacheQuantum:   0,
 		MaxBodyBytes:   1 << 20, // 1 MiB
 		MaxBatch:       4096,
 		RequestTimeout: 10 * time.Second,
@@ -118,7 +109,6 @@ func DefaultConfig() Config {
 type Server struct {
 	cfg     Config
 	reg     *Registry
-	cache   *PredictionCache // nil when disabled
 	metrics *metricsRegistry
 	streams *streamSessions
 }
@@ -159,10 +149,7 @@ func New(reg *Registry, cfg Config) *Server {
 		TTL:    cfg.SessionTTL,
 		Now:    cfg.Clock,
 	})
-	if cfg.CacheSize > 0 {
-		s.cache = NewPredictionCache(cfg.CacheSize)
-	}
-	s.metrics = newMetricsRegistry(routes, s.cache, reg.Len, reg.ModelsByMachine, s.streams)
+	s.metrics = newMetricsRegistry(routes, reg.Len, reg.ModelsByMachine, s.streams)
 	return s
 }
 
@@ -469,109 +456,27 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, rows := in.e, in.rows
-	ref := e.Ref()
-	resp := predictResponse{Model: ref, N: len(rows)}
-	if in.contributions {
-		resp.Contributions = make([][]model.Contribution, len(rows))
-	}
+	resp := predictResponse{Model: e.Ref(), N: len(rows), Predictions: make([]float64, len(rows))}
 	// Prediction-only requests against a compiled model take the batch
-	// kernel: one PredictInto sweep (chunked across workers for large
-	// batches) instead of per-row interface dispatch. The kernel's output
-	// is bit-identical to per-row Predict, so which path runs is
-	// unobservable in the response.
+	// kernel: one PredictInto sweep straight into the response instead
+	// of per-row interface dispatch. The kernel's output is bit-identical
+	// to per-row Predict, so which path runs is unobservable in the
+	// response.
 	if bp, ok := e.Model.(model.BatchPredictor); ok && !in.contributions {
-		resp.Predictions = s.predictBatch(bp, ref, rows)
+		bp.PredictInto(resp.Predictions, rows)
 		writePredictResponse(w, &resp)
 		return
 	}
-	// Ordered fan-out: parallel.Map returns results in input order, so
-	// the response is byte-identical at any worker count. The cache is
-	// consulted per row; with the default exact-bits keying a hit returns
-	// the same float the model would produce. Keys are assembled in a
-	// per-row stack buffer (AppendKey) so a cache hit costs zero
-	// allocations; only inserting a fresh entry copies the key.
-	// Request-sized batches are usually far below the point where fan-out
-	// pays for itself; ForItems keeps them on the serial path.
-	resp.Predictions, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
-		func(i int, row dataset.Instance) (float64, error) {
-			if in.contributions {
-				resp.Contributions[i] = e.Model.Contributions(row)
-			}
-			var kb [256]byte
-			var key []byte
-			if s.cache != nil {
-				key = AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
-				if v, ok := s.cache.GetBytes(key); ok {
-					return v, nil
-				}
-			}
-			v := e.Model.Predict(row)
-			s.cache.PutBytes(key, v)
-			return v, nil
-		})
-	writePredictResponse(w, &resp)
-}
-
-// predictBatch answers a prediction-only request through the model's
-// batch kernel. Without a cache the kernel runs straight into the
-// response buffer; with one, rows are probed first and the kernel runs
-// only over the misses, which are then scattered back and inserted.
-// Either way dst[i] is bit-identical to e.Model.Predict(rows[i]), so
-// the cache keeps its never-changes-a-response property.
-func (s *Server) predictBatch(bp model.BatchPredictor, ref string, rows []dataset.Instance) []float64 {
-	out := make([]float64, len(rows))
-	if s.cache == nil {
-		s.kernelInto(bp, out, rows)
-		return out
+	if in.contributions {
+		resp.Contributions = make([][]model.Contribution, len(rows))
 	}
-	var kb [256]byte
-	missIdx := make([]int, 0, len(rows))
-	missRows := make([]dataset.Instance, 0, len(rows))
 	for i, row := range rows {
-		key := AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
-		if v, ok := s.cache.GetBytes(key); ok {
-			out[i] = v
-			continue
+		if in.contributions {
+			resp.Contributions[i] = e.Model.Contributions(row)
 		}
-		missIdx = append(missIdx, i)
-		missRows = append(missRows, row)
+		resp.Predictions[i] = e.Model.Predict(row)
 	}
-	if len(missRows) == 0 {
-		return out
-	}
-	miss := make([]float64, len(missRows))
-	s.kernelInto(bp, miss, missRows)
-	for j, i := range missIdx {
-		out[i] = miss[j]
-		key := AppendKey(kb[:0], ref, rows[i], s.cfg.CacheQuantum)
-		s.cache.PutBytes(key, miss[j])
-	}
-	return out
-}
-
-// kernelInto runs the batch kernel over dst/rows, splitting large
-// batches into contiguous per-worker chunks. Chunks write disjoint dst
-// ranges and every row's arithmetic is independent, so the result is
-// identical at any worker count — the same determinism contract the
-// per-row fan-out keeps.
-func (s *Server) kernelInto(bp model.BatchPredictor, dst []float64, rows []dataset.Instance) {
-	cfg := parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows))
-	workers := cfg.Workers()
-	if workers <= 1 {
-		bp.PredictInto(dst, rows)
-		return
-	}
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	chunks := make([][2]int, workers)
-	for w := range chunks {
-		chunks[w] = [2]int{w * len(rows) / workers, (w + 1) * len(rows) / workers}
-	}
-	_, _ = parallel.Map(cfg, chunks, func(_ int, c [2]int) (struct{}, error) {
-		bp.PredictInto(dst[c[0]:c[1]], rows[c[0]:c[1]])
-		return struct{}{}, nil
-	})
+	writePredictResponse(w, &resp)
 }
 
 // classifier is the optional classification surface: single trees route
@@ -626,21 +531,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	e, rows := in.e, in.rows
 	cl := e.Model.(classifier) // readInput checked it
 	resp := classifyResponse{Model: e.Ref(), N: len(rows)}
-	resp.Classes, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
-		func(i int, row dataset.Instance) (classification, error) {
-			leaf, path := cl.Classify(row)
-			c := classification{
-				LeafID:     leaf.LeafID,
-				Prediction: leaf.Model.Predict(row),
-				TrainN:     leaf.N,
-				TrainMean:  leaf.Mean,
-				Path:       make([]classifyStep, len(path)),
-			}
-			for j, st := range path {
-				c.Path[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
-			}
-			return c, nil
-		})
+	resp.Classes = make([]classification, len(rows))
+	for i, row := range rows {
+		leaf, path := cl.Classify(row)
+		c := classification{
+			LeafID:     leaf.LeafID,
+			Prediction: leaf.Model.Predict(row),
+			TrainN:     leaf.N,
+			TrainMean:  leaf.Mean,
+			Path:       make([]classifyStep, len(path)),
+		}
+		for j, st := range path {
+			c.Path[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
+		}
+		resp.Classes[i] = c
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -14,7 +14,7 @@ import (
 
 // The /v1/stream endpoint is the service's online surface: clients POST
 // NDJSON counter samples and the server runs them through a persistent
-// stream.Processor — the same scoring fan-out as /v1/predict plus the
+// stream.Processor — window scoring over the Jobs worker pool plus the
 // phase and drift monitors. Monitor state (phase tracker, Page–Hinkley
 // accumulator, EWMA CPI) survives across requests, so a producer can
 // POST sections in whatever chunks its collection loop yields and still

@@ -49,7 +49,6 @@ func streamTrace(total, boundary, shiftAt int, shift float64, seed int64) string
 func streamConfig(jobs int) Config {
 	cfg := DefaultConfig()
 	cfg.Jobs = jobs
-	cfg.CacheSize = 0
 	cfg.Stream.Window = 16
 	// Wider alarm threshold than the default so residual noise over a
 	// short trace cannot false-fire, while a +0.5 shift still trips in a

@@ -28,19 +28,8 @@ import (
 )
 
 // Hash is the table's shard-assignment hash: 32-bit FNV-1a over the
-// key bytes. It is exported so sibling striped structures (the serve
-// layer's prediction cache) stripe the same way.
+// key bytes. It is exported so callers can predict a key's shard.
 func Hash(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// HashBytes is Hash for a key still in its scratch buffer.
-func HashBytes(key []byte) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])

@@ -44,9 +44,6 @@ func TestHashDeterministic(t *testing.T) {
 	if got := Hash(""); got != 2166136261 {
 		t.Errorf("Hash(\"\") = %d, want 2166136261", got)
 	}
-	if Hash("a@v1\x00s1") != HashBytes([]byte("a@v1\x00s1")) {
-		t.Error("Hash and HashBytes disagree")
-	}
 }
 
 func TestGetOrCreate(t *testing.T) {
